@@ -1,4 +1,4 @@
-"""Chaos campaign sweep: the declarative suite against every stack.
+"""Chaos campaign sweep: the declarative suites against every stack.
 
 Acceptance sweep for the chaos subsystem, driven by the committed
 ``suites/chaos.yaml``: >= 50 seeds spread across the fourteen stack
@@ -10,14 +10,16 @@ handover, audited by the ``reshard-handover`` cross-cut invariant),
 and the adversary-and-environment palette stacks ``pbft-wipe``,
 ``raft-skew``, ``spider-disk``, ``irmc-equivocate`` and
 ``irmc-sc-wipe`` — durable-state loss, checkpoint corruption, clock
-skew and authenticated equivocation), every safety and liveness
-invariant green — crash/
-recovered replicas owe completion-after-heal and wiped replicas owe the
-exact recovered frontier — plus the byte-parity guarantees that (a) a
-no-fault campaign run is indistinguishable from the same workload
-without the chaos layer loaded and (b) every suite cell is
-byte-identical to the historical hand-wired ``get_harness(config)``
-sweep it replaced.
+skew and authenticated equivocation), plus ``suites/reshard.yaml``'s
+single- and double-handover cells.  Every safety and liveness
+invariant must be green — crash/recovered replicas owe
+completion-after-heal and wiped replicas owe the exact recovered
+frontier — and two byte-parity guarantees hold: (a) a no-fault
+campaign run is indistinguishable from the same workload without the
+chaos layer loaded and (b) every cell reproduces the campaign
+fingerprint, violations and action count pinned in
+``benchmarks/fingerprints.json`` (recorded from the hand-wired
+harnesses the data-driven configurations replaced).
 
 Any failure is shrunk to a minimal schedule and written to
 ``benchmarks/CHAOS_failures.json`` (CI uploads it as an artifact); the
@@ -31,29 +33,36 @@ Run directly for the sweep table::
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 
 import pytest
 
-from repro.chaos import get_harness, repro_snippet, shrink_schedule
-from repro.chaos.actions import FaultAction
+from repro.chaos import get_harness
+from repro.experiments.chaos import Sweep, sweep
 from repro.scenarios import BuildCache, load_suite, run_matrix
 
-FAILURES_PATH = pathlib.Path(__file__).parent / "CHAOS_failures.json"
-SUITE_PATH = pathlib.Path(__file__).parent.parent / "suites" / "chaos.yaml"
+HERE = pathlib.Path(__file__).parent
+FAILURES_PATH = HERE / "CHAOS_failures.json"
+PINS = json.loads((HERE / "fingerprints.json").read_text())["suites"]
 
 #: loaded (and fully validated) once per process — configuration
-#: mistakes in the suite file fail collection, before any node exists.
-SUITE = load_suite(SUITE_PATH)
+#: mistakes in a suite file fail collection, before any node exists.
+SUITES = {
+    path: load_suite(HERE.parent / path)
+    for path in ("suites/chaos.yaml", "suites/reshard.yaml")
+}
+SUITE = SUITES["suites/chaos.yaml"]
 
-#: one shared build cache across the whole sweep: each config's harness
-#: is built once and reused for all of its seeds.
+#: one shared build cache across the whole sweep: each config is built
+#: once and reused for all of its seeds.
 CACHE = BuildCache()
 
 SEEDS_PER_CONFIG = len(SUITE.seeds)
 SEED_BASE = SUITE.seeds[0]
 CONFIGS = sorted(spec.name for spec in SUITE.scenarios)
+RESHARD_CONFIGS = sorted(spec.name for spec in SUITES["suites/reshard.yaml"].scenarios)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -65,67 +74,65 @@ def _fresh_failure_artifact():
     yield
 
 
-def _sweep_config(config: str):
-    spec = SUITE.scenario(config)
-    cells = run_matrix([spec], SUITE.seeds, CACHE)
-    failures = []
-    actions_total = 0
-    for cell in cells:
-        if cell.error is not None:
-            failures.append(
-                {"config": config, "seed": cell.seed, "error": cell.error}
-            )
-            continue
-        actions_total += cell.stats["n_actions"]
-        if not cell.ok:
-            harness = get_harness(config)
-            actions = [FaultAction(**a) for a in cell.stats["schedule"]]
-            minimal = shrink_schedule(harness, cell.seed, actions=actions)
-            failures.append(
-                {
-                    "config": config,
-                    "seed": cell.seed,
-                    "fingerprint": cell.fingerprint,
-                    "violations": cell.stats["violations"],
-                    "schedule": cell.stats["schedule"],
-                    "minimized": [dict(vars(a)) for a in minimal],
-                    "snippet": repro_snippet(harness, cell.seed, minimal),
-                }
-            )
-    return actions_total, failures
+@functools.lru_cache(maxsize=None)
+def _sweep(suite: str, config: str) -> Sweep:
+    """Each scenario is swept once per process; the sweep and pin tests share it."""
+    return sweep(SUITES[suite].scenario(config), SUITES[suite].seeds, CACHE)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_campaign_sweep(config):
-    actions_total, failures = _sweep_config(config)
-    if failures:
+def _assert_green(config: str, swept: Sweep) -> None:
+    if swept.failures:
         existing = []
         if FAILURES_PATH.exists():
             existing = json.loads(FAILURES_PATH.read_text())
-        FAILURES_PATH.write_text(json.dumps(existing + failures, indent=2, default=repr))
-        detail = "\n\n".join(f.get("snippet", f.get("error", "")) for f in failures)
+        FAILURES_PATH.write_text(
+            json.dumps(existing + swept.failures, indent=2, default=repr)
+        )
+        detail = "\n\n".join(f.get("snippet", f.get("error", "")) for f in swept.failures)
         pytest.fail(
-            f"{config}: {len(failures)}/{SEEDS_PER_CONFIG} seeds violated "
+            f"{config}: {len(swept.failures)}/{len(swept.cells)} seeds violated "
             f"invariants; minimized repros in {FAILURES_PATH}:\n{detail}"
         )
     # The sweep must actually inject faults — an accidentally empty
     # palette would make the invariants vacuously green.
-    assert actions_total >= SEEDS_PER_CONFIG, (
-        f"{config}: only {actions_total} fault actions over "
-        f"{SEEDS_PER_CONFIG} seeds — campaign is not exercising faults"
+    assert swept.actions >= len(swept.cells), (
+        f"{config}: only {swept.actions} fault actions over "
+        f"{len(swept.cells)} seeds — campaign is not exercising faults"
     )
+
+
+def _assert_pinned(suite: str, config: str, swept: Sweep) -> None:
+    """Each cell's campaign fingerprint, violations and action count equal
+    the pin; a legitimate move edits the pin with a CHANGES.md line."""
+    for cell in swept.cells:
+        assert cell.error is None, cell.error
+    got = {
+        str(cell.seed): {
+            "fingerprint": cell.stats["campaign_fingerprint"],
+            "actions": cell.stats["n_actions"],
+            "violations": cell.stats["violations"],
+        }
+        for cell in swept.cells
+    }
+    assert got == PINS[suite][config]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_campaign_sweep(config):
+    _assert_green(config, _sweep("suites/chaos.yaml", config))
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_suite_cell_matches_handwired_harness(config):
-    """Migration guarantee: the declarative cell == the historical path."""
-    spec = SUITE.scenario(config)
-    [cell] = run_matrix([spec], [SEED_BASE], CACHE)
-    reference = get_harness(config).run(SEED_BASE)
-    assert cell.error is None, cell.error
-    assert cell.stats["campaign_fingerprint"] == reference.fingerprint()
-    assert cell.stats["violations"] == list(reference.violations)
-    assert cell.stats["n_actions"] == len(reference.actions)
+    """Every seed of the cell reproduces the hand-wired harness's pinned outcome."""
+    _assert_pinned("suites/chaos.yaml", config, _sweep("suites/chaos.yaml", config))
+
+
+@pytest.mark.parametrize("config", RESHARD_CONFIGS)
+def test_reshard_suite_sweep(config):
+    swept = _sweep("suites/reshard.yaml", config)
+    _assert_green(config, swept)
+    _assert_pinned("suites/reshard.yaml", config, swept)
 
 
 def test_suite_cache_reuses_builds():
@@ -133,11 +140,12 @@ def test_suite_cache_reuses_builds():
     cache = BuildCache()
     spec = SUITE.scenario("pbft")
     run_matrix([spec], SUITE.seeds[:2], cache)
-    # Second seed reuses the harness and the compiled invariant set.
-    assert cache.stats()["hits"] >= 2
-    # And the module-level sweep cache saw heavy reuse too (when the
-    # sweep ran first; harmless when this test runs in isolation).
-    assert CACHE.stats()["hits"] >= 0
+    # The second seed reuses the config built for the first.
+    assert cache.stats() == {"hits": 1, "misses": 3, "entries": 3}
+    # A repeated sweep rebuilds nothing: both cells take the config and
+    # their schedule from the cache.
+    run_matrix([spec], SUITE.seeds[:2], cache)
+    assert cache.stats() == {"hits": 5, "misses": 3, "entries": 3}
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -152,14 +160,13 @@ def test_no_fault_campaign_is_byte_identical(config):
 
 
 def main() -> None:  # pragma: no cover - manual entry point
-    for config in CONFIGS:
-        actions_total, failures = _sweep_config(config)
-        status = "ok" if not failures else f"{len(failures)} FAILURES"
-        print(
-            f"{config:8s} seeds={SEEDS_PER_CONFIG} actions={actions_total} {status}"
-        )
-        for failure in failures:
-            print(failure.get("snippet", failure.get("error", "")))
+    for suite in SUITES:
+        for config in sorted(spec.name for spec in SUITES[suite].scenarios):
+            swept = _sweep(suite, config)
+            status = "ok" if not swept.failures else f"{len(swept.failures)} FAILURES"
+            print(f"{config:22s} seeds={len(swept.cells)} actions={swept.actions} {status}")
+            for failure in swept.failures:
+                print(failure.get("snippet", failure.get("error", "")))
     print("cache:", CACHE.stats())
 
 

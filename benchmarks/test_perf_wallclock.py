@@ -15,7 +15,8 @@ scenarios, with a fixed seed so runs are comparable across commits:
 Results are written to ``benchmarks/BENCH_perf.json``.  Each scenario
 also records a ``sim_fingerprint`` over its simulated results: the
 fingerprint must be byte-identical across commits for the same seed —
-wall-clock optimisations must never change simulated outcomes.
+wall-clock optimisations must never change simulated outcomes — and is
+asserted against the pin in ``benchmarks/fingerprints.json``.
 
 Run directly for the full table::
 
@@ -44,6 +45,7 @@ from repro.workload import ClosedLoopDriver, OperationMix
 
 SEED = 11
 OUTPUT_PATH = pathlib.Path(__file__).parent / "BENCH_perf.json"
+PIN_PATH = pathlib.Path(__file__).parent / "fingerprints.json"
 
 #: Saturated write workload scale (kept modest so CI smoke stays fast).
 FIG7_CLIENTS_PER_REGION = 6
@@ -180,6 +182,11 @@ def test_perf_wallclock():
         assert stats["events"] > 1_000, (name, stats)
         assert stats["events_per_s"] > 0, (name, stats)
     OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    pins = json.loads(PIN_PATH.read_text())["perf"]
+    fingerprints = {
+        name: stats["sim_fingerprint"] for name, stats in report["scenarios"].items()
+    }
+    assert fingerprints == pins
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
 

@@ -33,8 +33,10 @@ Public API in one breath
   PBFT state transfer, timer re-arm) — see ``docs/architecture.md``.
 * :class:`ChaosProfile` / :func:`generate_schedule` — what a stack
   tolerates, and the seeded draw of a schedule inside that budget.
-* :data:`HARNESSES` / :func:`get_harness` — the runnable stack
-  configurations; each ``run(seed)`` is a pure function of its inputs.
+* :data:`CONFIGS` / :func:`get_harness` — the runnable stack
+  configurations, one :class:`ChaosConfig` data entry each over a shared
+  runner; each ``run(seed)`` is a pure function of its inputs.
+  :func:`configure` applies a scenario spec's knob overrides.
 * :func:`check_*` — evidence-level invariant checkers (see
   :mod:`repro.chaos.invariants`); :func:`shrink_schedule` /
   :func:`repro_snippet` — ddmin minimisation and regression snippets.
@@ -42,11 +44,11 @@ Public API in one breath
 
 from repro.chaos.actions import ChaosEngine, FaultAction, NET_KINDS, NODE_KINDS
 from repro.chaos.harnesses import (
+    CONFIGS,
     CampaignResult,
-    HARNESSES,
-    HARNESS_KINDS,
+    ChaosConfig,
+    configure,
     get_harness,
-    make_harness,
 )
 from repro.chaos.invariants import (
     INVARIANTS,
@@ -77,10 +79,10 @@ __all__ = [
     "format_schedule",
     "overlapping_windows",
     "CampaignResult",
-    "HARNESSES",
-    "HARNESS_KINDS",
+    "ChaosConfig",
+    "CONFIGS",
+    "configure",
     "get_harness",
-    "make_harness",
     "shrink_schedule",
     "repro_snippet",
     "INVARIANTS",

@@ -329,7 +329,7 @@ def check_reshard_handover(
 # ----------------------------------------------------------------------
 #: Declarative names for the checkers above.  ``ScenarioSpec.invariants``
 #: entries resolve here; the chaos harnesses declare their obligations
-#: (``StackHarness.invariant_names``) in the same vocabulary, so a suite
+#: (``ChaosConfig.invariant_names``) in the same vocabulary, so a suite
 #: file and the code that enforces it cannot drift apart silently.
 INVARIANTS: Dict[str, Callable[..., List[str]]] = {
     "sequence-agreement": check_sequence_agreement,

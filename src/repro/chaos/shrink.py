@@ -12,14 +12,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.chaos.actions import FaultAction
-from repro.chaos.harnesses import CampaignResult, StackHarness
+from repro.chaos.harnesses import CampaignResult, ChaosConfig
 from repro.chaos.schedule import format_schedule
 
 __all__ = ["shrink_schedule", "repro_snippet"]
 
 
 def shrink_schedule(
-    harness: StackHarness,
+    harness: ChaosConfig,
     seed: int,
     actions: Optional[Sequence[FaultAction]] = None,
     max_trials: int = 64,
@@ -50,7 +50,7 @@ def shrink_schedule(
     return current
 
 
-def repro_snippet(harness: StackHarness, seed: int, actions: Sequence[FaultAction]) -> str:
+def repro_snippet(harness: ChaosConfig, seed: int, actions: Sequence[FaultAction]) -> str:
     """A regression-test body replaying the minimized schedule."""
     result: CampaignResult = harness.run(seed, actions=list(actions))
     status = "FAILS" if result.violations else "passes"

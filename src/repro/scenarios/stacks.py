@@ -10,9 +10,9 @@ back without a cycle).
 
 Built-in here:
 
-* ``chaos``    — one chaos-campaign cell: builds the named harness
-  configuration declaratively (:func:`repro.chaos.make_harness`), derives
-  or replays the fault schedule, runs it, reports violations.
+* ``chaos``    — one chaos-campaign cell: the named configuration
+  (:data:`repro.chaos.CONFIGS`) with the spec's knob overrides, its
+  derived or replayed fault schedule, the violations.
 * ``overload`` — the flash-crowd A/B body: replay a precomputed
   open-loop plan against the spec's cluster topology (with or without a
   middleware chain) and summarise latency/backlog/SLO counters.
@@ -37,8 +37,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Dict, TYPE_CHECKING
 
-from repro.chaos.harnesses import make_harness
-from repro.chaos.invariants import resolve_invariants
+from repro.chaos.harnesses import configure
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,37 +85,34 @@ def resolve_stack(name: str):
 class ChaosStack:
     """One chaos-campaign cell, built declaratively.
 
-    ``params.config`` names a harness kind (:data:`repro.chaos.
-    HARNESS_KINDS`); ``scale`` entries override run-scale knobs (ops,
-    settle_ms...); the ``faults`` fragment overrides the palette, budget
-    and windows.  The spec's ``invariants`` must match the harness's
-    declared obligations exactly — the suite file documents what the run
-    enforces, and cannot claim more or less than the code does.
+    ``params.config`` names a configuration (:data:`repro.chaos.
+    CONFIGS`); ``scale`` entries and the ``faults`` fragment's palette,
+    budget and windows override its knobs.  The spec's ``invariants``
+    must match the configuration's declared obligations exactly — the
+    suite file documents what the run enforces, and cannot claim more or
+    less than the code does.
     """
 
     name = "chaos"
 
-    def _harness(self, spec: "ScenarioSpec"):
-        config = spec.params_dict().get("config")
+    def config(self, spec: "ScenarioSpec"):
+        """The spec's configuration with its knob overrides applied."""
         overrides = dict(spec.scale)
         faults = spec.faults
         if faults is not None:
             if faults.palette:
-                overrides["fault_kinds"] = list(faults.palette)
-            if faults.max_actions is not None:
-                overrides["max_actions"] = faults.max_actions
-            if faults.min_start_ms is not None:
-                overrides["min_start_ms"] = faults.min_start_ms
-            if faults.horizon_ms is not None:
-                overrides["horizon_ms"] = faults.horizon_ms
-        return make_harness(config, **overrides)
+                overrides["fault_kinds"] = faults.palette
+            for key in ("max_actions", "min_start_ms", "horizon_ms"):
+                if getattr(faults, key) is not None:
+                    overrides[key] = getattr(faults, key)
+        return configure(spec.params_dict().get("config"), overrides)
 
     def validate(self, spec: "ScenarioSpec") -> None:
         params = spec.params_dict()
         if "config" not in params:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: the chaos stack needs "
-                "params.config (a harness kind name)"
+                "params.config (a chaos configuration name)"
             )
         unknown = set(params) - {"config"}
         if unknown:
@@ -133,29 +129,19 @@ class ChaosStack:
                 f"scenario {spec.name!r}: chaos configurations carry their "
                 "workload in 'scale' knobs; omit 'workload'"
             )
-        harness = self._harness(spec)  # raises on unknown config/knobs
-        harness.validate_knobs()  # raises on malformed knob values
+        config = self.config(spec)  # raises on unknown config/knobs
+        config.validate_knobs()  # raises on malformed knob values
         declared = tuple(sorted(spec.invariants))
-        expected = tuple(sorted(harness.invariant_names))
+        expected = tuple(sorted(config.invariant_names))
         if declared != expected:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: invariants {list(declared)} do not "
-                f"match config {harness.name!r} obligations {list(expected)}"
+                f"match config {config.name!r} obligations {list(expected)}"
             )
 
     def run(self, spec: "ScenarioSpec", seed: int, cache: "BuildCache") -> Dict[str, Any]:
         fingerprint = spec.fingerprint()
-        harness = cache.get_or_build(
-            "harness", fingerprint, lambda: self._harness(spec)
-        )
-        # The compiled checker tuple is what the harness's run() enforces;
-        # compiling it through the cache pins the name->checker resolution
-        # once per distinct invariant set across the whole matrix.
-        cache.get_or_build(
-            "invariants",
-            spec.invariants_fingerprint(),
-            lambda: resolve_invariants(spec.invariants),
-        )
+        config = cache.get_or_build("config", fingerprint, lambda: self.config(spec))
         explicit = spec.faults.actions if spec.faults is not None else ()
         if explicit:
             schedule = list(explicit)
@@ -163,11 +149,11 @@ class ChaosStack:
             schedule = cache.get_or_build(
                 "schedule",
                 (fingerprint, seed),
-                lambda: harness.derive_schedule(seed),
+                lambda: config.derive_schedule(seed),
             )
-        result = harness.run(seed, actions=list(schedule))
+        result = config.run(seed, actions=list(schedule))
         return {
-            "config": harness.name,
+            "config": config.name,
             "ok": result.ok,
             "violations": list(result.violations),
             "schedule": [dict(vars(action)) for action in result.actions],
@@ -185,20 +171,19 @@ class ReshardStack(ChaosStack):
 
     Execution is the chaos stack's, byte for byte; the point of the
     dedicated name is validation.  On top of the chaos checks (and the
-    harness's own ``validate_knobs`` replay, which rejects overlapping
-    ranges, unknown source/destination shards and epoch regressions via
-    :func:`repro.elastic.validate_moves`), the configuration must
-    actually carry a non-empty ``moves`` handover plan — a reshard cell
-    that silently degraded into a static-topology chaos run would claim
-    coverage it does not have.
+    configuration's own ``validate_knobs`` replay, which rejects
+    overlapping ranges, unknown source/destination shards and epoch
+    regressions via :func:`repro.elastic.validate_moves`), the
+    configuration must actually carry a non-empty ``moves`` handover
+    plan — a reshard cell that silently degraded into a static-topology
+    chaos run would claim coverage it does not have.
     """
 
     name = "reshard"
 
     def validate(self, spec: "ScenarioSpec") -> None:
         super().validate(spec)
-        harness = self._harness(spec)
-        if not getattr(harness, "moves", None):
+        if not self.config(spec).knobs.get("moves"):
             raise ConfigurationError(
                 f"scenario {spec.name!r}: the reshard stack needs a chaos "
                 "config carrying a non-empty 'moves' handover plan"

@@ -240,7 +240,10 @@ class TestNoFaultParity:
     """A chaos-wrapped run with zero faults must be byte-identical to the
     same workload without the chaos layer loaded (acceptance criterion)."""
 
-    @pytest.mark.parametrize("config", ["pbft", "raft", "irmc-rc", "irmc-sc", "spider"])
+    @pytest.mark.parametrize(
+        "config",
+        ["pbft", "raft", "irmc-rc", "irmc-sc", "spider", "spider-shard", "spider-reshard"],
+    )
     def test_empty_campaign_matches_bare_run(self, config):
         harness = get_harness(config)
         wrapped = harness.run(3, actions=[])

@@ -5,9 +5,9 @@ must stay byte-identical to the code it replaced.  Each test here runs a
 (reduced-scale) cell through the scenario runner AND through an inline
 copy of the pre-migration wiring, then compares results exactly — no
 tolerances.  The full-scale equivalents are pinned by the benchmark
-suite (``benchmarks/test_chaos.py`` compares every config against
-``get_harness``; ``BENCH_overload.json`` and the perf
-``sim_fingerprint``s are committed artifacts).
+suite (``benchmarks/test_chaos.py`` pins every chaos cell and the perf
+``sim_fingerprint``s in ``benchmarks/fingerprints.json``;
+``BENCH_overload.json`` is a committed artifact).
 """
 
 from __future__ import annotations

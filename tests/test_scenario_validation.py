@@ -89,6 +89,13 @@ def test_unknown_harness_knob_via_scale():
     assert "ops" in str(err.value)  # the tunable set is listed
 
 
+def test_palette_on_targeted_config():
+    """A targeted schedule never reads a palette, so a spec cannot set one."""
+    spec = _chaos_spec(params={"config": "pbft-vc-crash"})
+    with pytest.raises(ConfigurationError, match="no tunable knob 'fault_kinds'"):
+        spec.validate()
+
+
 def test_unknown_middleware_name():
     spec = ScenarioSpec.of(
         name="probe",
