@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import Digestible, Mac, MacVector, Signature, cached_repr
+from repro.crypto.primitives import Digestible, Mac, MacVector, Signature
 from repro.net.message import Message
 
 #: Request kinds.
@@ -97,10 +97,10 @@ class Execute(Message, Digestible):
     def __repr__(self) -> str:
         # Reprs feed digests and simulated hashing costs; omit the batch
         # field when unused so batch_size=1 stays byte-identical to the
-        # pre-batching wire format.  The request repr is memoised: Execute
-        # reprs recur in checkpoint snapshots and channel payload digests.
+        # pre-batching wire format.  The request is repr'd afresh, never
+        # from its seal, so the send sanitizer sees a rebound request field.
         base = (
-            f"Execute(seq={self.seq!r}, request={cached_repr(self.request)}, "
+            f"Execute(seq={self.seq!r}, request={self.request!r}, "
             f"placeholder={self.placeholder!r}"
         )
         if self.batch is None:

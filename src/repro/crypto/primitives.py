@@ -2,40 +2,39 @@
 
 A digest is a stable 64-bit integer computed from the ``repr`` of the signed
 object; protocol messages are dataclasses with deterministic reprs, so equal
-message contents produce equal digests across nodes, while any Byzantine
-mutation of a field changes the digest and fails verification.
+message contents produce equal digests across nodes, while a forged or
+tampered copy of a message digests differently and fails verification.
 
-Digest caching
---------------
+Seal-once messages
+------------------
 Computing ``repr`` plus two CRC passes dominates the simulator's wall-clock
 on crypto-heavy workloads, and the *same* frozen message is typically
 digested many times (once per receiver, once per retransmission, once per
-quorum check).  Frozen protocol messages therefore opt into memoisation by
-mixing in :class:`Digestible`: their digest is computed once and cached on
-the instance, guarded by the identity of every dataclass field so that any
-in-place field mutation (the only way to "change" a frozen dataclass, via
-``object.__setattr__``) invalidates the cache and re-digests the mutated
-content.  Byzantine behaviours that tamper with messages must either build
-a fresh copy (``dataclasses.replace``) or mutate in place — both observe
-correct, non-stale digests.
+quorum check).  Frozen protocol messages therefore mix in
+:class:`Digestible`, which makes them *seal once*: the repr digest, the
+signed-content digest, the wire size and the repr string are each computed
+the first time they are asked for and stored on the instance as seals,
+which are never re-validated.  A message is immutable once built — lint
+rule P202 forbids ``object.__setattr__`` outside this module, and the
+mutation-after-send sanitizer (:func:`repro.net.set_send_sanitizer`)
+catches in-flight tampering at runtime — so a seal can never go stale.
+Byzantine behaviours that tamper with messages build a fresh copy
+(``dataclasses.replace``), which starts unsealed.
 
-The cached value is bit-identical to the uncached ``repr``-based digest,
-and the simulated hashing cost is still charged **per call** (using the
-cached encoding length), so simulated time, reply traces and replay are
-unchanged — only wall-clock time drops.  :func:`set_digest_cache_enabled`
-turns the cache off globally, which the determinism regression tests use
-to prove parity.
+A sealed value is bit-identical to the plain ``repr``-based digest, and the
+simulated hashing cost is still charged **per call** (from the sealed
+encoding length), so simulated time, reply traces and replay are exactly
+what digesting afresh on every call would give — only wall-clock time
+drops.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace as dataclass_replace
-from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.crypto import costs as _costs
-from repro.sim import node as _node
 from repro.sim.node import charge
 
 SIGNATURE_BYTES = 128  # 1024-bit RSA
@@ -46,102 +45,30 @@ _HIGH_SALT = 0x9E3779B9
 
 
 class Digestible:
-    """Marker mixin: a frozen dataclass whose digests may be memoised.
+    """Marker mixin: a frozen dataclass that seals its digests once.
 
     Opting in promises that the object is immutable after construction
-    (its fields are only ever replaced via ``dataclasses.replace``) and —
-    when it defines ``signed_content()`` — that authenticator fields
-    (``signature`` / ``auth`` / ``mac``) are excluded from that content.
-
-    The staleness guard snapshots field *values*: rebinding a field via
-    ``object.__setattr__`` is detected, but mutating the innards of a
-    mutable field value in place (e.g. appending to a list held by an
-    ``Any``-typed field) is not — field values must themselves be treated
-    as frozen, the same convention the repr-digest scheme has relied on
-    since the seed.
+    (its fields are only ever replaced via ``dataclasses.replace``, which
+    builds a fresh, unsealed copy) and — when it defines
+    ``signed_content()`` — that authenticator fields (``signature`` /
+    ``auth`` / ``mac``) are excluded from that content.  Field values must
+    themselves be treated as frozen: a seal records the message as it was
+    when first asked for and is never checked against the fields again.
     """
 
     __slots__ = ()
 
 
-#: Instance-dict slots holding ``(field-value guard, digest, kb length)``.
-_REPR_SLOT = "_cached_repr_digest"
-_CONTENT_SLOT = "_cached_content_digest"
-#: Instance-dict slots for the non-crypto per-object memos that ride on the
-#: same guard infrastructure (wire size, canonical repr string).
-_SIZE_SLOT = "_cached_size_bytes"
-_REPR_STR_SLOT = "_cached_repr_str"
+#: Instance-dict slots holding the seals: ``(digest, kb length)`` for the
+#: two digests, the plain value for the wire size and the repr string.
+_REPR_SEAL = "_seal_repr_digest"
+_CONTENT_SEAL = "_seal_content_digest"
+_SIZE_SEAL = "_seal_size_bytes"
+_REPR_STR_SEAL = "_seal_repr_str"
 
 #: Authenticator fields, excluded from ``signed_content()`` by convention
-#: (attaching one must not invalidate a cached signed-content digest).
+#: (attaching one keeps the content seal valid).
 _AUTH_FIELDS = frozenset({"signature", "auth", "mac"})
-
-#: type -> field-value snapshot function guarding the full-repr cache.
-_REPR_GUARDS: Dict[type, Callable[[Any], Any]] = {}
-#: type -> (has signed_content, snapshot function) guarding the content cache.
-_CONTENT_GUARDS: Dict[type, Tuple[bool, Callable[[Any], Any]]] = {}
-
-
-def _empty_guard(_obj: Any) -> tuple:
-    return ()
-
-
-def _make_guard(names: Tuple[str, ...]) -> Callable[[Any], tuple]:
-    # ``attrgetter`` snapshots all fields as one C-level call; cache entries
-    # are validated by comparing snapshots element-wise with ``is`` (see
-    # ``_identical``).  Identity — not equality — is required: ``True == 1``
-    # but ``repr(True) != repr(1)``, so an equality guard could serve a
-    # stale digest after cross-type tampering.  Identity misses only force
-    # a recompute, never a stale hit (field values are deep-frozen by the
-    # Digestible contract).  A single-field guard duplicates the name so
-    # ``attrgetter`` still returns a tuple.
-    if not names:
-        return _empty_guard
-    if len(names) == 1:
-        return attrgetter(names[0], names[0])
-    return attrgetter(*names)
-
-
-def _identical(snapshot: tuple, current: tuple) -> bool:
-    for cached_value, live_value in zip(snapshot, current):
-        if cached_value is not live_value:
-            return False
-    return True
-
-_cache_enabled = True
-
-
-def set_digest_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable digest memoisation; returns previous state.
-
-    Cached and uncached digests are bit-identical and charge identical
-    simulated CPU cost; the switch exists so regression tests can prove it.
-    """
-    global _cache_enabled
-    previous = _cache_enabled
-    _cache_enabled = bool(enabled)
-    return previous
-
-
-def _repr_guard(cls: type) -> Callable[[Any], Any]:
-    guard = _REPR_GUARDS.get(cls)
-    if guard is None:
-        guard = _make_guard(tuple(getattr(cls, "__dataclass_fields__", ())))
-        _REPR_GUARDS[cls] = guard
-    return guard
-
-
-def _content_guard(cls: type) -> Tuple[bool, Callable[[Any], Any]]:
-    entry = _CONTENT_GUARDS.get(cls)
-    if entry is None:
-        fields = tuple(
-            name
-            for name in getattr(cls, "__dataclass_fields__", ())
-            if name not in _AUTH_FIELDS
-        )
-        entry = (hasattr(cls, "signed_content"), _make_guard(fields))
-        _CONTENT_GUARDS[cls] = entry
-    return entry
 
 
 def _crc64(data: bytes) -> int:
@@ -149,67 +76,52 @@ def _crc64(data: bytes) -> int:
     return (_crc32(data, _HIGH_SALT) << 32) | _crc32(data)
 
 
+def _measure(text: str) -> Tuple[int, float]:
+    """``(digest, kb length)`` of a repr string."""
+    data = text.encode("utf-8", errors="replace")
+    return _crc64(data), len(data) / 1024.0
+
+
 def digest(obj: Any) -> int:
     """Stable digest of ``obj`` (charges hashing cost by object size)."""
-    if _cache_enabled and isinstance(obj, Digestible):
-        snapshot = _repr_guard(obj.__class__)(obj)
-        entry = obj.__dict__.get(_REPR_SLOT)
-        if entry is not None and _identical(entry[0], snapshot):
-            node = _node._current
-            if node is not None:
-                cost = _costs._ACTIVE.hash_per_kb * entry[2]
-                if cost > 0:
-                    node._pending_cost += cost
-            return entry[1]
-        data = repr(obj).encode("utf-8", errors="replace")
-        value = _crc64(data)
-        kb = len(data) / 1024.0
-        object.__setattr__(obj, _REPR_SLOT, (snapshot, value, kb))
-        charge(_costs._ACTIVE.hash_per_kb * kb)
-        return value
-    data = repr(obj).encode("utf-8", errors="replace")
-    charge(_costs._ACTIVE.hash_per_kb * (len(data) / 1024.0))
-    return _crc64(data)
+    if isinstance(obj, Digestible):
+        seal = obj.__dict__.get(_REPR_SEAL)
+        if seal is None:
+            seal = obj.__dict__[_REPR_SEAL] = _measure(repr(obj))
+        value, kb = seal
+    else:
+        value, kb = _measure(repr(obj))
+    charge(_costs._ACTIVE.hash_per_kb * kb)
+    return value
+
+
+def _signed_content(obj: Any) -> Any:
+    return obj.signed_content() if hasattr(obj, "signed_content") else obj
 
 
 def content_digest(obj: Any) -> int:
-    """Digest of ``obj.signed_content()``, memoised for Digestible objects.
+    """Digest of ``obj.signed_content()`` (of ``obj`` itself without one).
 
     Bit-identical to ``digest(obj.signed_content())`` — same encoding, same
-    simulated hashing charge — but avoids rebuilding the content tuple and
-    re-hashing it on every authentication of the same message.
+    simulated hashing charge — but a :class:`Digestible` message builds and
+    hashes its content tuple only once, however often it is authenticated.
     """
-    if _cache_enabled and isinstance(obj, Digestible):
-        entry = obj.__dict__.get(_CONTENT_SLOT)
-        has_content, guard = _content_guard(obj.__class__)
-        if not has_content:
-            return digest(obj)
-        if entry is not None and _identical(entry[0], guard(obj)):
-            node = _node._current
-            if node is not None:
-                cost = _costs._ACTIVE.hash_per_kb * entry[2]
-                if cost > 0:
-                    node._pending_cost += cost
-            return entry[1]
-        snapshot = guard(obj)
-        data = repr(obj.signed_content()).encode("utf-8", errors="replace")
-        value = _crc64(data)
-        kb = len(data) / 1024.0
-        object.__setattr__(obj, _CONTENT_SLOT, (snapshot, value, kb))
-        charge(_costs._ACTIVE.hash_per_kb * kb)
-        return value
-    content = obj.signed_content() if hasattr(obj, "signed_content") else obj
-    data = repr(content).encode("utf-8", errors="replace")
-    charge(_costs._ACTIVE.hash_per_kb * (len(data) / 1024.0))
-    return _crc64(data)
+    if not isinstance(obj, Digestible):
+        return digest(_signed_content(obj))
+    seal = obj.__dict__.get(_CONTENT_SEAL)
+    if seal is None:
+        seal = obj.__dict__[_CONTENT_SEAL] = _measure(repr(_signed_content(obj)))
+    value, kb = seal
+    charge(_costs._ACTIVE.hash_per_kb * kb)
+    return value
 
 
 def _digest_of(obj: Any) -> int:
     """Digest used by the authentication primitives.
 
     A :class:`Digestible` message authenticates its ``signed_content()``
-    (memoised); anything else — a raw content tuple, application state —
-    digests by ``repr`` exactly as before.
+    (sealed); anything else — a raw content tuple, application state —
+    digests by ``repr``.
     """
     if isinstance(obj, Digestible):
         return content_digest(obj)
@@ -223,25 +135,26 @@ def structural_digest(obj: Any) -> int:
     hash to the digest recorded when it was written?) model a disk-level
     checksum, not a network-facing crypto operation.  Charging them would
     perturb simulated CPU interleavings on paths that predate the storage
-    fault model — this helper keeps such checks byte-invisible.  Never use
-    it for anything a remote party must not be able to forge.
+    fault model — this helper keeps such checks byte-invisible.  It never
+    reads a seal, which is what lets the send sanitizer catch tampering.
+    Never use it for anything a remote party must not be able to forge.
     """
     return _crc64(repr(obj).encode("utf-8", errors="replace"))
 
 
 def attach_auth(body: Any, **auth: Any) -> Any:
-    """``dataclasses.replace(body, **auth)`` that keeps the digest cache warm.
+    """``dataclasses.replace(body, **auth)`` that keeps the content seal.
 
     The authenticator fields (``signature`` / ``auth`` / ``mac``) are excluded
     from ``signed_content()``, so the copy's content digest is identical to
-    ``body``'s — transferring the memo spares every receiver of the
+    ``body``'s — carrying the seal over spares every receiver of the
     authenticated copy the first re-digest.  Only authenticator fields may be
     replaced through this helper.
 
     The copy itself bypasses ``__init__``: a frozen message's state lives
     entirely in its instance dict, so duplicating the dict and overwriting
     the authenticator field is equivalent to ``dataclasses.replace`` at a
-    fraction of the cost.  Memos whose value depends on the authenticator
+    fraction of the cost.  Seals whose value depends on the authenticator
     (full-object repr/digest, wire size) are dropped from the copy.
     """
     if not _AUTH_FIELDS.issuperset(auth):
@@ -252,46 +165,38 @@ def attach_auth(body: Any, **auth: Any) -> Any:
     message = object.__new__(cls)
     state = message.__dict__
     state.update(body.__dict__)
-    state.pop(_REPR_SLOT, None)
-    state.pop(_SIZE_SLOT, None)
-    state.pop(_REPR_STR_SLOT, None)
+    state.pop(_REPR_SEAL, None)
+    state.pop(_SIZE_SEAL, None)
+    state.pop(_REPR_STR_SEAL, None)
     state.update(auth)
     return message
 
 
 def cached_size_bytes(message: Any) -> int:
-    """``message.size_bytes()`` memoised per frozen message object.
+    """``message.size_bytes()``, sealed once per :class:`Digestible` message.
 
-    Wire sizes feed serialization and NIC delays, so they ride on the same
-    all-field guard as the repr digest: any in-place field mutation
-    invalidates the memo and the size is recomputed.
+    Wire sizes feed serialization and NIC delays on every send of the
+    message.
     """
-    if not _cache_enabled:
-        return message.size_bytes()
-    snapshot = _repr_guard(message.__class__)(message)
-    entry = message.__dict__.get(_SIZE_SLOT)
-    if entry is not None and _identical(entry[0], snapshot):
-        return entry[1]
-    size = message.size_bytes()
-    object.__setattr__(message, _SIZE_SLOT, (snapshot, size))
+    size = message.__dict__.get(_SIZE_SEAL)
+    if size is None:
+        size = message.__dict__[_SIZE_SEAL] = message.size_bytes()
     return size
 
 
 def cached_repr(obj: Any) -> str:
-    """``repr(obj)`` memoised per frozen message object (same guard rules).
+    """``repr(obj)``, sealed once per :class:`Digestible` message.
 
-    Protocol components use message reprs as dedup keys; memoising the
-    string mirrors the digest memo and is exactly as stale-safe.
+    Protocol components use message reprs as dedup keys.  No ``__repr__``
+    may call this: the send sanitizer's :func:`structural_digest` must see
+    every field as it is now, not as a seal recorded it.
     """
-    if not (_cache_enabled and isinstance(obj, Digestible)):
+    if not isinstance(obj, Digestible):
         return repr(obj)
-    snapshot = _repr_guard(obj.__class__)(obj)
-    entry = obj.__dict__.get(_REPR_STR_SLOT)
-    if entry is not None and _identical(entry[0], snapshot):
-        return entry[1]
-    value = repr(obj)
-    object.__setattr__(obj, _REPR_STR_SLOT, (snapshot, value))
-    return value
+    text = obj.__dict__.get(_REPR_STR_SEAL)
+    if text is None:
+        text = obj.__dict__[_REPR_STR_SEAL] = repr(obj)
+    return text
 
 
 @dataclass(frozen=True)

@@ -133,27 +133,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Return ``False`` if none remain."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            if len(entry) == 4:
-                self.now = entry[0]
-                self._events_processed += 1
-                entry[2](*entry[3])
-                return True
-            event = entry[2]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.fired = True
-            self.now = entry[0]
-            self._events_processed += 1
-            event.fn(*event.args)
-            return True
-        return False
-
     def run(
         self,
         until: Optional[float] = None,

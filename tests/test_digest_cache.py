@@ -1,12 +1,15 @@
-"""Digest-cache correctness: staleness, mutation, parity, and charges.
+"""Seal-once digests: bit identity, charges, forgery, and tampering.
 
-The digest caching layer (``crypto/primitives.py``) must be *invisible* to
-the protocol: identical digest values, identical simulated CPU charges, and
-no way for a Byzantine mutation to slip a stale digest past ``verify``.
+Sealing (``crypto/primitives.py``) must be *invisible* to the protocol:
+identical digest values and identical simulated CPU charges to digesting
+afresh on every call.  A forged copy still fails ``verify``.  A message is
+immutable once built, and in-place tampering after it was sent is caught
+by the mutation-after-send sanitizer — ``verify`` no longer re-checks a
+sealed message against its fields.
 """
 
 # lint: allow-file[P202] -- these tests tamper with frozen messages on
-# purpose to prove the snapshot guard catches exactly that
+# purpose to prove the sanitizer and verify catch exactly that
 from __future__ import annotations
 
 import pytest
@@ -21,22 +24,16 @@ from repro.crypto.primitives import (
     digest,
     make_mac,
     make_mac_vector,
-    set_digest_cache_enabled,
     sign,
+    structural_digest,
     verify,
     verify_mac,
     verify_mac_vector,
 )
+from repro.errors import SimulationError
+from repro.net import Network, Site, Topology, set_send_sanitizer
 from repro.sim.core import Simulator
 from repro.sim.node import Node
-
-
-@pytest.fixture(autouse=True)
-def _cache_on():
-    """Each test starts from the default cache-enabled state."""
-    set_digest_cache_enabled(True)
-    yield
-    set_digest_cache_enabled(True)
 
 
 def _body(counter=1, operation=("put", "k", "v")):
@@ -46,17 +43,14 @@ def _body(counter=1, operation=("put", "k", "v")):
 class TestBitIdentity:
     def test_cached_digest_equals_uncached(self):
         body = _body()
-        cached = content_digest(body)
-        cached_again = content_digest(body)
-        set_digest_cache_enabled(False)
-        uncached = digest(body.signed_content())
-        assert cached == cached_again == uncached
+        sealed = content_digest(body)
+        sealed_again = content_digest(body)
+        assert sealed == sealed_again == digest(body.signed_content())
 
     def test_repr_digest_equals_uncached(self):
         wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
-        cached = digest(wrapper)
-        set_digest_cache_enabled(False)
-        assert cached == digest(wrapper)
+        sealed = digest(wrapper)
+        assert sealed == digest(wrapper) == structural_digest(wrapper)
 
     def test_equal_but_distinct_objects_share_digest_value(self):
         assert content_digest(_body()) == content_digest(_body())
@@ -65,7 +59,7 @@ class TestBitIdentity:
         wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
         assert cached_size_bytes(wrapper) == wrapper.size_bytes()
         assert cached_repr(wrapper) == repr(wrapper)
-        # and again, from the memo
+        # and again, from the seal
         assert cached_size_bytes(wrapper) == wrapper.size_bytes()
         assert cached_repr(wrapper) == repr(wrapper)
 
@@ -90,12 +84,67 @@ class TestChargeParity:
                     node_mod._current = previous
                 return node._pending_cost
 
-            first = charge_of(lambda: content_digest(body))  # miss
-            hit = charge_of(lambda: content_digest(body))  # hit
-            set_digest_cache_enabled(False)
-            uncached = charge_of(lambda: digest(body.signed_content()))
-            assert first == hit == uncached
+            first = charge_of(lambda: content_digest(body))  # seals
+            hit = charge_of(lambda: content_digest(body))  # reads the seal
+            plain = charge_of(lambda: digest(body.signed_content()))
+            assert first == hit == plain
             assert first > 0
+
+
+def _tamper_field_rebind():
+    body = _body()
+    signature = sign("c1", body)
+    assert verify(signature, body, signer="c1")  # content now sealed
+    return body, "operation", ("put", "k", "EVIL")
+
+
+def _tamper_true_for_one():
+    # ``True == 1`` but their reprs differ.
+    body = _body(counter=1)
+    signature = sign("c1", body)
+    assert verify(signature, body, signer="c1")
+    return body, "counter", True
+
+
+def _tamper_mac_and_vector():
+    body = _body()
+    mac = make_mac("a", "b", body)
+    vector = make_mac_vector("a", ["b", "c"], body)
+    assert verify_mac(mac, body, "a", "b")
+    assert verify_mac_vector(vector, body, "a", "b")
+    return body, "counter", 7
+
+
+def _tamper_size_changing_body():
+    wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
+    cached_size_bytes(wrapper)
+    cached_repr(wrapper)
+    return wrapper, "body", _body(operation=("put", "k", "v" * 100))
+
+
+def _tamper_attach_auth_copy():
+    body = RequestWrapper(body=_body(), signature=None, group="g0")
+    signature = sign("r1", body)  # seals the content carried to the copy
+    message = attach_auth(body, signature=signature)
+    assert verify(message.signature, message, signer="r1")
+    return message, "group", "evil"
+
+
+class _Sink(Node):
+    def on_message(self, src, message):
+        pass
+
+
+@pytest.fixture
+def armed_network():
+    """A two-node network with the send sanitizer armed for the test."""
+    previous = set_send_sanitizer(True)
+    sim = Simulator(seed=3)
+    network = Network(sim, Topology(), jitter=0.0)
+    a = network.register(_Sink(sim, "a", Site("virginia", 1)))
+    b = network.register(_Sink(sim, "b", Site("virginia", 2)))
+    yield sim, network, a, b
+    set_send_sanitizer(previous)
 
 
 class TestByzantineMutation:
@@ -108,47 +157,32 @@ class TestByzantineMutation:
         )
         assert not verify(signature, forged, signer="c1")
 
-    def test_in_place_field_mutation_after_signing_fails_verify(self):
-        """The cache guard must catch ``object.__setattr__`` tampering."""
-        body = _body()
-        signature = sign("c1", body)
-        assert verify(signature, body, signer="c1")  # digest now cached
-        object.__setattr__(body, "operation", ("put", "k", "EVIL"))
-        assert not verify(signature, body, signer="c1")
-        # Restoring the original value restores verifiability.
-        object.__setattr__(body, "operation", ("put", "k", "v"))
-        assert verify(signature, body, signer="c1")
+    def test_tampered_before_first_digest_fails_verify(self):
+        signature = sign("c1", _body())
+        tampered = _body()
+        object.__setattr__(tampered, "operation", ("put", "k", "EVIL"))
+        assert not verify(signature, tampered, signer="c1")
+        assert not verify_mac(make_mac("c1", "b", _body()), tampered, "c1", "b")
 
-    def test_cross_type_equal_value_mutation_fails_verify(self):
-        """``True == 1`` but their reprs differ: the guard must compare
-        field identity, not equality, or tampering would reuse a stale
-        cached digest."""
-        body = _body(counter=1)
-        signature = sign("c1", body)
-        assert verify(signature, body, signer="c1")  # digest cached
-        object.__setattr__(body, "counter", True)
-        assert not verify(signature, body, signer="c1")
-        set_digest_cache_enabled(False)
-        assert not verify(signature, body, signer="c1")  # parity with uncached
-
-    def test_in_place_mutation_invalidates_mac_and_vector(self):
-        body = _body()
-        mac = make_mac("a", "b", body)
-        vector = make_mac_vector("a", ["b", "c"], body)
-        assert verify_mac(mac, body, "a", "b")
-        assert verify_mac_vector(vector, body, "a", "b")
-        object.__setattr__(body, "counter", 7)
-        assert not verify_mac(mac, body, "a", "b")
-        assert not verify_mac_vector(vector, body, "a", "b")
-
-    def test_in_place_mutation_invalidates_size_and_repr_memos(self):
-        wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
-        before_size = cached_size_bytes(wrapper)
-        before_repr = cached_repr(wrapper)
-        bigger = _body(operation=("put", "k", "v" * 100))
-        object.__setattr__(wrapper, "body", bigger)
-        assert cached_size_bytes(wrapper) == wrapper.size_bytes() != before_size
-        assert cached_repr(wrapper) == repr(wrapper) != before_repr
+    @pytest.mark.parametrize(
+        "prime",
+        [
+            _tamper_field_rebind,
+            _tamper_true_for_one,
+            _tamper_mac_and_vector,
+            _tamper_size_changing_body,
+            _tamper_attach_auth_copy,
+        ],
+        ids=["rebind", "true-for-one", "mac", "size", "attach-auth"],
+    )
+    def test_tamper_after_send_is_caught(self, armed_network, prime):
+        """A sealed message rebound in flight is the sanitizer's to catch."""
+        sim, network, a, b = armed_network
+        message, field_name, value = prime()
+        network.send(a, b, message)
+        object.__setattr__(message, field_name, value)
+        with pytest.raises(SimulationError, match="mutated after send"):
+            sim.run()
 
 
 class TestAttachAuth:
@@ -166,17 +200,8 @@ class TestAttachAuth:
         with pytest.raises(ValueError):
             attach_auth(_body(), counter=5)
 
-    def test_transferred_cache_still_guarded_against_mutation(self):
-        body = RequestWrapper(body=_body(), signature=None, group="g0")
-        signature = sign("r1", body)  # primes the content cache
-        message = attach_auth(body, signature=signature)
-        assert verify(message.signature, message, signer="r1")
-        object.__setattr__(message, "group", "evil")
-        assert not verify(message.signature, message, signer="r1")
-
     def test_execute_payload_digest_stable_through_cache(self):
         wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
         execute = Execute(seq=3, request=wrapper)
         first = digest(execute)
-        set_digest_cache_enabled(False)
-        assert digest(execute) == first
+        assert digest(execute) == first == structural_digest(execute)

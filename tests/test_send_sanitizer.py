@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.core.messages import RequestBody
+from repro.core.messages import Execute, RequestBody, RequestWrapper
+from repro.crypto.primitives import digest
 from repro.errors import SimulationError
 from repro.net import Site, Topology, send_sanitizer_enabled, set_send_sanitizer
 from repro.net.network import Network
@@ -80,6 +81,23 @@ class TestSanitizer:
         # lint: allow[P202] -- this test IS the aliasing bug the sanitizer
         # exists to catch: tamper with a frozen message already handed to send
         object.__setattr__(body, "counter", 2)
+        with pytest.raises(SimulationError, match="mutated after send"):
+            sim.run()
+
+    def test_nested_request_rebind_in_digested_execute_is_caught(
+        self, net, sanitized
+    ):
+        """The rebound field sits one message down, behind a digested
+        wrapper: the sanitizer must still see it."""
+        sim, network, a, b = net
+        body = RequestBody(client="c1", counter=1, operation=("put", "k", "v"))
+        request = RequestWrapper(body=body, signature=None, group="g0")
+        execute = Execute(seq=3, request=request)
+        digest(execute)
+        network.send(a, b, execute)
+        # lint: allow[P202] -- the aliasing bug under test: rebind a field
+        # of a message nested inside one already handed to send
+        object.__setattr__(request, "group", "evil")
         with pytest.raises(SimulationError, match="mutated after send"):
             sim.run()
 
